@@ -1,8 +1,8 @@
 // Benchmarks regenerating the computational core of every table and
-// figure in the paper's evaluation, plus the ablations called out in
-// DESIGN.md. Sizes are scaled down from the paper's 100×100/1000×1000 so
-// `go test -bench=.` completes quickly; cmd/experiments runs the
-// full-size versions and EXPERIMENTS.md records the results.
+// figure in the paper's evaluation, plus ablations. Sizes are scaled
+// down from the paper's 100×100/1000×1000 so `go test -bench=.`
+// completes quickly; cmd/experiments runs the full-size versions (see
+// the README's "surfsim CLI" section).
 package parsurf_test
 
 import (

@@ -8,7 +8,7 @@ import (
 )
 
 // runFig7 regenerates the speedup surface T(1,N)/T(p,N) of Fig. 7 on
-// the simulated parallel machine (see DESIGN.md §5 substitution 1),
+// the simulated parallel machine of internal/machine,
 // validates the real goroutine executor's bit-identity, and contrasts
 // the Segers-style domain decomposition overhead.
 func runFig7(opt options) error {

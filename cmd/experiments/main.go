@@ -1,6 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured results).
+// evaluation; the list below is the experiment index.
 //
 // Usage:
 //

@@ -226,6 +226,12 @@ func serve(cfg serverConfig) error {
 		ReadTimeout:       2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+	if coord != nil {
+		// Idle workers park their lease calls in the coordinator; closing
+		// it as the drain starts answers them at once, so they do not
+		// hold the graceful shutdown.
+		srv.RegisterOnShutdown(coord.Close)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -272,6 +278,7 @@ func serve(cfg serverConfig) error {
 		// The graceful drain ran out its budget — some peer (a stuck
 		// SSE consumer, a half-open connection) never finished. Drop
 		// whatever is left; shutdown must terminate.
+		fmt.Fprintf(os.Stderr, "surfd: graceful drain exceeded %v; dropping open connections\n", wait)
 		srv.Close()
 	}
 	shutdown()

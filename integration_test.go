@@ -107,8 +107,7 @@ func TestIntegrationNDCARandomOrderReducesBias(t *testing.T) {
 	}
 }
 
-// Headline integration: the Pt(100) model oscillates under exact DMC
-// with the period recorded in EXPERIMENTS.md.
+// Headline integration: the Pt(100) model oscillates under exact DMC.
 func TestIntegrationPtCOOscillates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oscillation run is slow")

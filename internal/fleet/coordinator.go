@@ -149,9 +149,13 @@ type Coordinator struct {
 	mu    sync.Mutex
 	jobs  map[string]*fleetJob
 	order []string // job handout order (FIFO)
+	// wake is closed and replaced (under mu) whenever a shard becomes
+	// queued, releasing every parked Lease to re-scan the queue.
+	wake chan struct{}
 
-	stop chan struct{}
-	done chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
 // Option configures a Coordinator.
@@ -200,6 +204,7 @@ func New(st store.Store, opts ...Option) (*Coordinator, error) {
 		ttl:         DefaultLeaseTTL,
 		maxAttempts: DefaultMaxAttempts,
 		jobs:        make(map[string]*fleetJob),
+		wake:        make(chan struct{}),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -210,11 +215,13 @@ func New(st store.Store, opts ...Option) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the expiry sweeper. In-flight Execute calls are ended by
-// their own contexts (the manager cancels them on shutdown), not by
-// Close.
+// Close stops the expiry sweeper and answers every parked Lease at once
+// with no grant; later calls no longer park. So a server draining for
+// shutdown is not held by idle workers. In-flight Execute calls are
+// ended by their own contexts (the manager cancels them on shutdown),
+// not by Close. Safe to call more than once.
 func (c *Coordinator) Close() {
-	close(c.stop)
+	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
 }
 
@@ -291,6 +298,14 @@ func (c *Coordinator) endLeaseLocked(fj *fleetJob, sh *shard, reason string) {
 	sh.rec.Requeues++
 	c.requeues.Add(1)
 	_ = c.st.PutShard(&sh.rec)
+	c.wakeLocked()
+}
+
+// wakeLocked releases every parked Lease to look for the shard that
+// just became queued. Caller holds c.mu.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // failJobLocked ends a job's Execute with err. Caller holds c.mu.
@@ -333,6 +348,13 @@ func SplitShardID(global string) (jobID, shardID string, err error) {
 // cancelled (leaving the persisted shard table in place so the next
 // Execute of the same job resumes it: done shards replay their stored
 // payloads instead of re-running).
+//
+// A job that finishes stays attached until the manager's DropJob, which
+// runs once the job's done record is durable: a worker re-uploading a
+// merged shard in between still gets its idempotent success. (A job
+// whose done record cannot be written is never dropped; it stays
+// attached, all shards done, until the process restarts and re-runs
+// it.)
 func (c *Coordinator) Execute(ctx context.Context, j *job.Job) (*store.Result, error) {
 	fj, err := c.openJob(j)
 	if err != nil {
@@ -347,8 +369,8 @@ func (c *Coordinator) Execute(ctx context.Context, j *job.Job) (*store.Result, e
 	c.mu.Lock()
 	err = fj.err
 	c.mu.Unlock()
-	c.detach(fj.id)
 	if err != nil {
+		c.detach(fj.id)
 		return nil, err
 	}
 	// Every replica committed gap-free, so the accumulators read out the
@@ -429,9 +451,12 @@ func (c *Coordinator) openJob(j *job.Job) (*fleetJob, error) {
 	}
 	c.jobs[fj.id] = fj
 	c.order = append(c.order, fj.id)
-	if fj.remaining == 0 {
+	switch {
+	case fj.remaining == 0:
 		// Every shard replayed from storage: the job is already whole.
 		close(fj.finished)
+	case fj.err == nil:
+		c.wakeLocked()
 	}
 	return fj, nil
 }
@@ -538,11 +563,42 @@ func (c *Coordinator) detach(id string) {
 }
 
 // Lease hands the first queued shard (job FIFO, then variant-major
-// shard order) to the named worker, or reports ok=false when nothing
-// is queued. The leased record is durable before the grant leaves.
-func (c *Coordinator) Lease(worker string) (*Grant, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// shard order) to the named worker. When nothing is queued it parks for
+// up to wait (clamped to the lease TTL) and grants the first shard that
+// becomes queued meanwhile — a job opening, a lease expiring, a worker
+// reporting a failure. It reports ok=false at the end of the wait, when
+// ctx ends, or when the coordinator closes; wait <= 0 answers at once.
+// The leased record is durable before the grant leaves.
+func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Duration) (*Grant, bool) {
+	wait = min(wait, c.ttl)
+	var timeout <-chan time.Time
+	for {
+		c.mu.Lock()
+		grant, ok := c.leaseLocked(worker)
+		wake := c.wake
+		c.mu.Unlock()
+		if ok || wait <= 0 {
+			return grant, ok
+		}
+		if timeout == nil {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-wake:
+		case <-timeout:
+			return nil, false
+		case <-ctx.Done():
+			return nil, false
+		case <-c.stop:
+			return nil, false
+		}
+	}
+}
+
+// leaseLocked grants the first queued shard, if any. Caller holds c.mu.
+func (c *Coordinator) leaseLocked(worker string) (*Grant, bool) {
 	for _, id := range c.order {
 		fj := c.jobs[id]
 		if fj == nil || fj.err != nil {
@@ -610,7 +666,8 @@ func (c *Coordinator) Heartbeat(jobID, shardID, worker string, progress []Replic
 // its payload). Results are accepted from any worker — the payload is
 // a pure function of the spec, so a late upload from a worker whose
 // lease already expired is still exact — and re-uploads of a done
-// shard are idempotent successes.
+// shard are idempotent successes, also after the job itself is done
+// and dropped (its stored job record says so).
 func (c *Coordinator) Result(jobID, shardID, worker string, data []byte) error {
 	res, err := decodeShardResult(data)
 	if err != nil {
@@ -619,6 +676,9 @@ func (c *Coordinator) Result(jobID, shardID, worker string, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fj := c.jobs[jobID]
+	if fj == nil && c.doneAndDropped(jobID) {
+		return nil
+	}
 	if fj == nil || fj.err != nil {
 		return ErrGone
 	}
@@ -653,12 +713,15 @@ func (c *Coordinator) Result(jobID, shardID, worker string, data []byte) error {
 
 // Fail records a worker-reported shard failure, re-queueing the shard
 // (or quarantining it past the attempt budget, which fails the job).
-// Failing a shard that is already done is a no-op: its result arrived
-// first and wins.
+// Failing a shard that is already done is a no-op, also after its job
+// is done and dropped: its result arrived first and wins.
 func (c *Coordinator) Fail(jobID, shardID, worker, reason string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fj := c.jobs[jobID]
+	if fj == nil && c.doneAndDropped(jobID) {
+		return nil
+	}
 	if fj == nil || fj.err != nil {
 		return ErrGone
 	}
@@ -674,6 +737,14 @@ func (c *Coordinator) Fail(jobID, shardID, worker, reason string) error {
 	}
 	c.endLeaseLocked(fj, sh, fmt.Sprintf("worker %s: %s", worker, reason))
 	return nil
+}
+
+// doneAndDropped reports whether a job the coordinator no longer holds
+// finished done: every shard of it was delivered, so late uploads and
+// failure reports about them are no-ops, not errors.
+func (c *Coordinator) doneAndDropped(jobID string) bool {
+	rec, err := c.st.GetJob(jobID)
+	return err == nil && rec.State == string(job.StateDone)
 }
 
 // JobShards implements job.ShardLister: the job's shard statuses in

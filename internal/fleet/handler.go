@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 )
 
 // maxResultBody bounds a shard result upload (a 1024-replica shard of
@@ -39,8 +40,11 @@ func decodeControl(w http.ResponseWriter, r *http.Request, v any) bool {
 // Handler is the coordinator's HTTP face, mounted under /fleet/ beside
 // the job API:
 //
-//	POST /fleet/lease              lease one shard ({"worker": id};
-//	                               200 Grant, or 204 when idle)
+//	POST /fleet/lease              lease one shard ({"worker": id,
+//	                               "wait_ms": n}; 200 Grant, or 204
+//	                               when nothing was queued within
+//	                               wait_ms — a long poll; without
+//	                               wait_ms the answer is immediate)
 //	POST /fleet/shards/{id}/heartbeat  renew + report progress
 //	POST /fleet/shards/{id}/result     upload the shard's wire payload
 //	POST /fleet/shards/{id}/fail       report a shard failure
@@ -48,7 +52,8 @@ func decodeControl(w http.ResponseWriter, r *http.Request, v any) bool {
 //
 // {id} is a GlobalShardID from a Grant. Heartbeat, result and fail
 // answer 410 Gone when the lease (or its job) no longer exists — the
-// worker's signal to abandon the shard.
+// worker's signal to abandon the shard. A parked lease ends early when
+// its client disconnects or the coordinator closes.
 type Handler struct {
 	c   *Coordinator
 	mux *http.ServeMux
@@ -85,6 +90,9 @@ func jsonOK(w http.ResponseWriter, code int, v any) {
 // leaseRequest is the POST /fleet/lease body.
 type leaseRequest struct {
 	Worker string `json:"worker"`
+	// WaitMs is how long an idle request may park for a shard to be
+	// queued (clamped to the lease TTL); 0 answers at once.
+	WaitMs int64 `json:"wait_ms,omitempty"`
 }
 
 // heartbeatRequest is the POST /fleet/shards/{id}/heartbeat body.
@@ -115,7 +123,7 @@ func (h *Handler) handleLease(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, fmt.Errorf("lease request names no worker"))
 		return
 	}
-	grant, ok := h.c.Lease(req.Worker)
+	grant, ok := h.c.Lease(r.Context(), req.Worker, time.Duration(req.WaitMs)*time.Millisecond)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return

@@ -39,8 +39,11 @@ type Worker struct {
 	Coordinator string
 	// Workers is the replica-goroutine count per shard (min 1).
 	Workers int
-	// Poll is the idle wait between lease attempts when the queue is
-	// empty or the coordinator unreachable (default 500ms).
+	// Poll is the idle re-lease period (default 500ms): each lease call
+	// lets the coordinator hold it up to Poll until a shard is queued,
+	// and an empty answer is followed by a sleep for the rest of Poll,
+	// so an idle worker makes one lease call per Poll. Poll is also the
+	// base of the backoff against an unreachable coordinator.
 	Poll time.Duration
 	// Store, when set, holds mid-shard replica checkpoints keyed by
 	// (job hash, shard), written at most every CheckpointEvery.
@@ -100,6 +103,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
+		start := time.Now()
 		grant, ok, err := w.lease(ctx)
 		switch {
 		case err != nil:
@@ -109,12 +113,15 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			fails++
 		case !ok:
-			// Reached but idle: steady polling, no backoff.
+			// Reached but idle: no backoff. The coordinator held the
+			// call for up to Poll; sleep out the rest of it, which also
+			// keeps a coordinator that answers at once from driving a
+			// tight loop.
 			fails = 0
 			select {
 			case <-ctx.Done():
 				return nil
-			case <-time.After(w.poll()):
+			case <-time.After(w.poll() - time.Since(start)):
 			}
 		default:
 			fails = 0
@@ -123,9 +130,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// lease asks the coordinator for one shard.
+// lease asks the coordinator for one shard, letting it hold the call
+// for up to Poll while nothing is queued.
 func (w *Worker) lease(ctx context.Context) (*Grant, bool, error) {
-	body, _ := json.Marshal(leaseRequest{Worker: w.ID})
+	body, _ := json.Marshal(leaseRequest{Worker: w.ID, WaitMs: w.poll().Milliseconds()})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		w.Coordinator+"/fleet/lease", bytes.NewReader(body))
 	if err != nil {

@@ -265,6 +265,14 @@ type Job struct {
 	slotTime  []atomic.Uint64 // Float64bits; zero = not yet observed
 	merged    atomic.Int64
 
+	// termMu serializes the job's persisted transitions (running and
+	// every terminal state), so a Cancel racing the runner either wins
+	// outright or finds the job terminal and writes nothing: the stored
+	// record always agrees with the in-memory state. It is held across
+	// store writes and the executor's DropJob; executors call back into
+	// the job only through the lock-free progress setters.
+	termMu sync.Mutex
+
 	mu     sync.Mutex
 	state  State
 	err    error
@@ -299,10 +307,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) Cancel() {
 	j.userCancel.Store(true)
 	j.cancel()
-	if j.setState(StateCancelled, context.Canceled, nil) {
-		j.persist(StateCancelled, context.Canceled)
-		j.dropCheckpoints()
-	}
+	j.terminate(StateCancelled, context.Canceled, nil, nil)
 }
 
 // Status returns a snapshot of the job.
@@ -533,6 +538,9 @@ func (j *Job) run() {
 		case <-t.C:
 		}
 	}
+	// Under termMu, so a racing Cancel's record lands after this one,
+	// never before it.
+	j.termMu.Lock()
 	if j.setState(StateRunning, nil, nil) {
 		j.mgr.started.Add(1)
 		// Arm the deadline before the running record persists, so the
@@ -541,6 +549,7 @@ func (j *Job) run() {
 		j.armDeadline()
 		j.persist(StateRunning, nil)
 	}
+	j.termMu.Unlock()
 	// The deadline lives on the run context, not the job context:
 	// RunSweep's first-error machinery then reports DeadlineExceeded as
 	// the root cause, which finishErr classifies as the distinct
@@ -557,25 +566,14 @@ func (j *Job) run() {
 		// Executor-backed manager: the workload runs elsewhere (fleet
 		// shards on worker nodes); the local checkpointer and resume
 		// provider stay out of the way — workers checkpoint their own
-		// shards. The executor's merged result commits through the same
-		// blob-before-record path as a local run.
+		// shards. The executor's merged result commits exactly like a
+		// local run's.
 		res, err := ex.Execute(runCtx, j)
 		if err != nil {
 			j.finishErr(err)
 			return
 		}
-		j.mu.Lock()
-		j.res = res
-		j.mu.Unlock()
-		if j.setState(StateDone, nil, nil) {
-			if st := j.mgr.st; st != nil {
-				if err := st.PutResult(j.hash, res); err != nil {
-					return
-				}
-			}
-			j.persist(StateDone, nil)
-			j.dropCheckpoints()
-		}
+		j.terminate(StateDone, nil, nil, res)
 		return
 	}
 	runOpts := []parsurf.EnsembleOption{parsurf.ObserveReplicas(j.observe)}
@@ -594,23 +592,47 @@ func (j *Job) run() {
 		j.finishErr(err)
 		return
 	}
-	res := resultData(j.req.Specs, ens)
+	j.terminate(StateDone, nil, ens, resultData(j.req.Specs, ens))
+}
+
+// terminate is the job's one terminal transition. The store hears
+// first: a done job's result blob, then the record, then the cleanup of
+// checkpoints and executor state; only then is s published in memory,
+// closing Done. So whatever observes Done — SSE streams, waiters, the
+// result endpoint — finds every store effect already in place.
+//
+// The stored record is s, with two exceptions. A done job whose blob
+// cannot be written keeps its running record (blob before record: a
+// record marked done must find its blob), so a restart re-runs it
+// instead of serving a done status with no result behind it. A
+// cancellation induced by manager shutdown rather than Cancel persists
+// as queued and keeps its checkpoints, so the next boot resumes the job.
+// Only a record that is terminal for good drops the checkpoints.
+//
+// Transitions serialize on termMu; a job already terminal is left as it
+// is.
+func (j *Job) terminate(s State, err error, ens []*parsurf.Ensemble, res *store.Result) {
+	j.termMu.Lock()
+	defer j.termMu.Unlock()
 	j.mu.Lock()
-	j.res = res
+	over := j.state.Terminal()
+	if !over && res != nil {
+		j.res = res
+	}
 	j.mu.Unlock()
-	if j.setState(StateDone, nil, ens) {
-		if st := j.mgr.st; st != nil {
-			// Blob before record: a record marked done must find its
-			// blob. If the blob write fails the record stays at
-			// "running", so a restart re-runs the job instead of
-			// serving a done status with no result behind it.
-			if err := st.PutResult(j.hash, res); err != nil {
-				return
-			}
-		}
-		j.persist(StateDone, nil)
+	if over {
+		return
+	}
+	switch {
+	case res != nil && j.mgr.st != nil && j.mgr.st.PutResult(j.hash, res) != nil:
+		// No blob, so no done record: it stays at running.
+	case s == StateCancelled && !j.userCancel.Load():
+		j.persist(StateQueued, nil)
+	default:
+		j.persist(s, err)
 		j.dropCheckpoints()
 	}
+	j.setState(s, err, ens)
 }
 
 // armDeadline fixes the job's absolute run deadline when it first
@@ -647,31 +669,14 @@ func (j *Job) finishErr(err error) {
 		// The run context is the only deadline-carrying context in the
 		// chain (the manager context is cancel-only), so this is the
 		// job's own budget expiring.
-		err = fmt.Errorf("job: exceeded its run deadline: %w", err)
-		if j.setState(StateDeadlineExceeded, err, nil) {
-			j.persist(StateDeadlineExceeded, err)
-			j.dropCheckpoints()
-		}
+		j.terminate(StateDeadlineExceeded, fmt.Errorf("job: exceeded its run deadline: %w", err), nil, nil)
 		return
 	}
 	if errors.Is(err, context.Canceled) {
-		if j.setState(StateCancelled, err, nil) {
-			if j.userCancel.Load() {
-				j.persist(StateCancelled, err)
-				j.dropCheckpoints()
-			} else {
-				// Shutdown-induced: the stored record stays resumable and
-				// the replica checkpoints stay in place, so the next boot
-				// continues the job from its last snapshots.
-				j.persist(StateQueued, nil)
-			}
-		}
+		j.terminate(StateCancelled, err, nil, nil)
 		return
 	}
-	if j.setState(StateFailed, err, nil) {
-		j.persist(StateFailed, err)
-		j.dropCheckpoints()
-	}
+	j.terminate(StateFailed, err, nil, nil)
 }
 
 // resultData flattens merged ensembles into the store's serializable
@@ -1336,6 +1341,11 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		return nil, fmt.Errorf("job: active-cost budget exhausted (%d committed of %d, job needs %d); %w",
 			m.activeCost.Load(), m.maxActiveCost, j.cost, ErrOverloaded)
 	}
+	// A runner may dequeue the job at once; holding its transitions
+	// until the queued record below is written keeps that record from
+	// landing after the runner's own.
+	j.termMu.Lock()
+	defer j.termMu.Unlock()
 	select {
 	case m.queue <- j:
 	default:

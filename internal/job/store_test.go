@@ -63,6 +63,31 @@ func TestSubmitPersistsBeforeAck(t *testing.T) {
 	}
 }
 
+// A Cancel racing the job's completion leaves the stored record and the
+// in-memory state in agreement, whichever side wins, and the record is
+// in place by the time Done closes.
+func TestCancelRacingCompletionAgrees(t *testing.T) {
+	st := store.NewMem()
+	m := newStoreManager(t, st)
+	defer m.Close()
+	for i := 0; i < 20; i++ {
+		j, err := m.Submit(shortReq(t, uint64(100+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(i) * 250 * time.Microsecond)
+		j.Cancel()
+		state := waitTerminal(t, j, 30*time.Second).State
+		rec, err := st.GetJob(j.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != string(state) {
+			t.Fatalf("job %d: stored %q, in memory %q", i, rec.State, state)
+		}
+	}
+}
+
 // A resubmission with a matching content hash is answered done from the
 // cache without running; nocache forces the run; a different workload
 // misses.

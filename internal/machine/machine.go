@@ -1,6 +1,6 @@
 // Package machine is the simulated parallel computer used to regenerate
 // the paper's Fig. 7 speedup surface on a host without real parallel
-// hardware (the substitution documented in DESIGN.md §5).
+// hardware.
 //
 // The model charges virtual time for the *actual* work decomposition of
 // the partitioned algorithms: every site trial costs TTrial, every

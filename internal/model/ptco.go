@@ -6,8 +6,8 @@ import "parsurf/internal/lattice"
 // after Kuzovkov et al. and Kortlüke et al.). Every site carries a
 // surface phase — hexagonal (hex) or reconstructed square (1×1, "sq") —
 // and an adsorbate. The paper does not reproduce Kuzovkov's full rate
-// table; DESIGN.md §5 documents this reformulation in the paper's own
-// reaction-type formalism.
+// table; this is a reformulation in the paper's own reaction-type
+// formalism.
 const (
 	PtHexEmpty lattice.Species = 0 // hex phase, vacant
 	PtHexCO    lattice.Species = 1 // hex phase, CO adsorbed
@@ -56,8 +56,7 @@ type PtCORates struct {
 }
 
 // DefaultPtCORates places the model in the oscillatory regime used for
-// the paper's Figs. 8–10 comparisons (tuned empirically; see
-// EXPERIMENTS.md for the resulting period and amplitude under RSM).
+// the paper's Figs. 8–10 comparisons (tuned empirically).
 func DefaultPtCORates() PtCORates {
 	return PtCORates{
 		YCO:       1.0,
