@@ -5,8 +5,9 @@
 // accumulator a single-node run uses and the merged Mean/Std come out
 // bit-identical regardless of how the replica space was sharded. Floats
 // travel as their exact bit patterns through the error-latching persist
-// codec; lengths in the header are untrusted and bounded before any
-// allocation grows to meet them.
+// codec; lengths in the header are untrusted: they are bounded, and
+// must match the payload's own length, before any allocation grows to
+// meet them.
 
 package fleet
 
@@ -85,12 +86,15 @@ func encodeShardResult(res *ShardResult) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeShardResult parses an untrusted shard payload, validating every
-// header claim before allocating to meet it and refusing trailing
-// bytes.
+// wireHeaderSize is the byte length of the seven u32 header fields.
+const wireHeaderSize = 28
+
+// decodeShardResult parses an untrusted shard payload. It allocates
+// nothing to meet the header's claims until the payload's length
+// matches them exactly, so a short header cannot make it allocate more
+// than the payload itself.
 func decodeShardResult(data []byte) (*ShardResult, error) {
-	r := bytes.NewReader(data)
-	d := persist.NewReader(r)
+	d := persist.NewReader(bytes.NewReader(data))
 	if m := d.U32(); d.Err() == nil && m != wireMagic {
 		d.Failf("fleet: shard result magic %#x, want %#x", m, wireMagic)
 	}
@@ -112,12 +116,18 @@ func decodeShardResult(data []byte) (*ShardResult, error) {
 			d.Failf("fleet: shard result carries %d grid points", points)
 		}
 	}
+	if d.Err() == nil {
+		// The header is coherent, so it fixes the payload's length: per
+		// replica a step count, a time and species × points samples. The
+		// caps keep the product under 2^56.
+		want := wireHeaderSize + uint64(hi-lo)*(16+8*uint64(species)*uint64(points))
+		if uint64(len(data)) != want {
+			d.Failf("fleet: shard result of %d bytes, header claims %d", len(data), want)
+		}
+	}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	// The header is coherent; the remaining length is now fully
-	// determined, so a short or padded body is caught without trusting
-	// any further claims.
 	n := int(hi - lo)
 	res := &ShardResult{
 		Variant: int(variant),
@@ -138,9 +148,6 @@ func decodeShardResult(data []byte) (*ShardResult, error) {
 			}
 		}
 		res.Rows[k] = rows
-	}
-	if d.Err() == nil && r.Len() > 0 {
-		d.Failf("fleet: shard result has %d trailing bytes", r.Len())
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

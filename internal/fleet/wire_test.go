@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -109,4 +112,68 @@ func TestGlobalShardID(t *testing.T) {
 			t.Errorf("SplitShardID(%q): %v, want malformed error", bad, err)
 		}
 	}
+}
+
+// wireHeader returns a bare 28-byte shard result header claiming
+// replicas [0, n) of the given species × points shape.
+func wireHeader(n, species, points uint32) []byte {
+	h := make([]byte, wireHeaderSize)
+	for i, v := range []uint32{wireMagic, wireVersion, 0, 0, n, species, points} {
+		binary.LittleEndian.PutUint32(h[4*i:], v)
+	}
+	return h
+}
+
+// A header's claims are refused before anything is allocated to meet
+// them: a bare header claiming megabytes of samples costs the decoder
+// no more than the payload. The claims stay at or under 2^20 points, so
+// a regression cannot exhaust the test host.
+func TestWireHeaderClaimsAllocateNothing(t *testing.T) {
+	claims := map[string][]byte{
+		"points":                 wireHeader(1, 4, 1<<20),
+		"replicas":               wireHeader(1<<20, 1, 1),
+		"body one replica short": append(wireHeader(2, 1, 1<<10), make([]byte, 16+8<<10)...),
+	}
+	for name, data := range claims {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeShardResult(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a payload shorter than its header claims decoded", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: refusing the claim allocated %d bytes, want under 1 MB", name, alloc)
+		}
+	}
+}
+
+// FuzzDecodeShardResult: the decoder of untrusted uploads and stored
+// blobs never panics, and whatever it accepts re-encodes to the exact
+// input bytes (the format is canonical).
+func FuzzDecodeShardResult(f *testing.F) {
+	good, err := encodeShardResult(sampleResult())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, n := range []int{0, 12, wireHeaderSize, len(good) - 5} {
+		f.Add(good[:n])
+	}
+	f.Add(append(append([]byte(nil), good...), 0xFF))
+	f.Add(wireHeader(1, 4, 1<<20))
+	f.Add(wireHeader(1<<20, 1, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := decodeShardResult(data)
+		if err != nil {
+			return
+		}
+		again, err := encodeShardResult(res)
+		if err != nil {
+			t.Fatalf("decoded payload does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
+		}
+	})
 }

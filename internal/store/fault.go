@@ -57,24 +57,23 @@ func (f *Faulty) Mutations() int {
 	return f.n
 }
 
-func (f *Faulty) check(op string) error {
+// mutate counts one mutation and runs it unless Hook fails it.
+func (f *Faulty) mutate(op string, run func() error) error {
 	f.mu.Lock()
 	f.n++
-	n := f.n
-	hook := f.Hook
+	n, hook := f.n, f.Hook
 	f.mu.Unlock()
-	if hook == nil {
-		return nil
+	if hook != nil {
+		if err := hook(n, op); err != nil {
+			return err
+		}
 	}
-	return hook(n, op)
+	return run()
 }
 
 // PutJob implements Store.
 func (f *Faulty) PutJob(rec *JobRecord) error {
-	if err := f.check("put-job"); err != nil {
-		return err
-	}
-	return f.Inner.PutJob(rec)
+	return f.mutate("put-job", func() error { return f.Inner.PutJob(rec) })
 }
 
 // GetJob implements Store.
@@ -85,10 +84,7 @@ func (f *Faulty) Jobs() ([]*JobRecord, error) { return f.Inner.Jobs() }
 
 // PutResult implements Store.
 func (f *Faulty) PutResult(hash string, res *Result) error {
-	if err := f.check("put-result"); err != nil {
-		return err
-	}
-	return f.Inner.PutResult(hash, res)
+	return f.mutate("put-result", func() error { return f.Inner.PutResult(hash, res) })
 }
 
 // GetResult implements Store.
@@ -96,10 +92,7 @@ func (f *Faulty) GetResult(hash string) (*Result, error) { return f.Inner.GetRes
 
 // PutCheckpoint implements Store.
 func (f *Faulty) PutCheckpoint(hash, slot string, data []byte) error {
-	if err := f.check("put-checkpoint"); err != nil {
-		return err
-	}
-	return f.Inner.PutCheckpoint(hash, slot, data)
+	return f.mutate("put-checkpoint", func() error { return f.Inner.PutCheckpoint(hash, slot, data) })
 }
 
 // GetCheckpoint implements Store.
@@ -112,18 +105,12 @@ func (f *Faulty) Checkpoints(hash string) ([]string, error) { return f.Inner.Che
 
 // DeleteCheckpoints implements Store.
 func (f *Faulty) DeleteCheckpoints(hash string) error {
-	if err := f.check("delete-checkpoints"); err != nil {
-		return err
-	}
-	return f.Inner.DeleteCheckpoints(hash)
+	return f.mutate("delete-checkpoints", func() error { return f.Inner.DeleteCheckpoints(hash) })
 }
 
 // PutShard implements Store.
 func (f *Faulty) PutShard(rec *ShardRecord) error {
-	if err := f.check("put-shard"); err != nil {
-		return err
-	}
-	return f.Inner.PutShard(rec)
+	return f.mutate("put-shard", func() error { return f.Inner.PutShard(rec) })
 }
 
 // Shards implements Store.
@@ -131,10 +118,7 @@ func (f *Faulty) Shards(jobID string) ([]*ShardRecord, error) { return f.Inner.S
 
 // PutShardResult implements Store.
 func (f *Faulty) PutShardResult(jobID, shardID string, data []byte) error {
-	if err := f.check("put-shard-result"); err != nil {
-		return err
-	}
-	return f.Inner.PutShardResult(jobID, shardID, data)
+	return f.mutate("put-shard-result", func() error { return f.Inner.PutShardResult(jobID, shardID, data) })
 }
 
 // GetShardResult implements Store.
@@ -144,8 +128,5 @@ func (f *Faulty) GetShardResult(jobID, shardID string) ([]byte, error) {
 
 // DeleteShards implements Store.
 func (f *Faulty) DeleteShards(jobID string) error {
-	if err := f.check("delete-shards"); err != nil {
-		return err
-	}
-	return f.Inner.DeleteShards(jobID)
+	return f.mutate("delete-shards", func() error { return f.Inner.DeleteShards(jobID) })
 }

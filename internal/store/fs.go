@@ -1,10 +1,12 @@
 package store
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
@@ -19,348 +21,117 @@ import (
 // Every write goes through a temp file in the target directory: write,
 // fsync, rename over the final name, fsync the directory — so a record
 // is either the old version or the new one, never a torn mix, and a
-// rename that was acknowledged survives a crash.
+// rename that was acknowledged survives a crash. A directory is created
+// on its first write, and its parent is fsynced then too, so the new
+// directory's entry is as durable as the file inside it.
 type FS struct {
-	jobsDir         string
-	resultsDir      string
-	checkpointsDir  string
-	shardsDir       string
-	shardResultsDir string
+	records
+	dir string
 }
 
 // OpenFS opens (creating if needed) a filesystem store rooted at dir.
 func OpenFS(dir string) (*FS, error) {
-	f := &FS{
-		jobsDir:         filepath.Join(dir, "jobs"),
-		resultsDir:      filepath.Join(dir, "results"),
-		checkpointsDir:  filepath.Join(dir, "checkpoints"),
-		shardsDir:       filepath.Join(dir, "shards"),
-		shardResultsDir: filepath.Join(dir, "shardresults"),
+	if err := mkdir(dir); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	for _, d := range []string{dir, f.jobsDir, f.resultsDir, f.checkpointsDir, f.shardsDir, f.shardResultsDir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-	}
+	f := &FS{dir: dir}
+	f.records = records{f}
 	return f, nil
 }
 
-// PutJob implements Store.
-func (f *FS) PutJob(rec *JobRecord) error {
-	if err := validKey("job", rec.ID); err != nil {
-		return err
+func (f *FS) path(sp space) string { return filepath.Join(f.dir, sp.dir, sp.sub) }
+
+func (f *FS) put(sp space, key string, data []byte) error {
+	dir := f.path(sp)
+	err := writeAtomic(dir, key+sp.ext, data)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = mkdir(dir); err == nil {
+			err = writeAtomic(dir, key+sp.ext, data)
+		}
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding job %s: %w", rec.ID, err)
-	}
-	return writeAtomic(filepath.Join(f.jobsDir, rec.ID+".json"), data)
+	return err
 }
 
-// GetJob implements Store.
-func (f *FS) GetJob(id string) (*JobRecord, error) {
-	if err := validKey("job", id); err != nil {
-		return nil, err
+func (f *FS) get(sp space, key string) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(f.path(sp), key+sp.ext))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, ErrNotFound
 	}
-	data, err := os.ReadFile(filepath.Join(f.jobsDir, id+".json"))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: job %q: %w", id, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	rec := new(JobRecord)
-	if err := json.Unmarshal(data, rec); err != nil {
-		return nil, fmt.Errorf("store: decoding job %s: %w", id, err)
-	}
-	return rec, nil
+	return data, err
 }
 
-// Jobs implements Store. A record that no longer reads or decodes —
-// e.g. a file torn by a crash that bypassed the atomic-rename path — is
-// skipped rather than failing the whole listing, so one bad file cannot
-// take down boot recovery; GetJob on the bad id still reports the
-// decode error for anyone who asks for it directly.
-func (f *FS) Jobs() ([]*JobRecord, error) {
-	entries, err := os.ReadDir(f.jobsDir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+// list returns the names of the regular files that end in the space's
+// extension, with the extension cut off.
+func (f *FS) list(sp space) ([]string, error) {
+	entries, err := os.ReadDir(f.path(sp))
+	if errors.Is(err, fs.ErrNotExist) {
+		err = nil
 	}
-	var out []*JobRecord
+	keys := make([]string, 0, len(entries))
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		rec, err := f.GetJob(strings.TrimSuffix(name, ".json"))
-		if err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// PutResult implements Store.
-func (f *FS) PutResult(hash string, res *Result) error {
-	if err := validKey("result", hash); err != nil {
-		return err
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("store: encoding result %s: %w", hash, err)
-	}
-	return writeAtomic(filepath.Join(f.resultsDir, hash+".json"), data)
-}
-
-// GetResult implements Store.
-func (f *FS) GetResult(hash string) (*Result, error) {
-	if err := validKey("result", hash); err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(filepath.Join(f.resultsDir, hash+".json"))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: result %s: %w", hash, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	res := new(Result)
-	if err := json.Unmarshal(data, res); err != nil {
-		return nil, fmt.Errorf("store: decoding result %s: %w", hash, err)
-	}
-	return res, nil
-}
-
-// checkpointDir returns the per-hash checkpoint directory, validating
-// both keys (the slot is a file name inside the hash directory).
-func (f *FS) checkpointDir(hash, slot string) (string, error) {
-	if err := validKey("checkpoint hash", hash); err != nil {
-		return "", err
-	}
-	if slot != "" {
-		if err := validKey("checkpoint slot", slot); err != nil {
-			return "", err
+		if key, ok := strings.CutSuffix(e.Name(), sp.ext); ok && !e.IsDir() {
+			keys = append(keys, key)
 		}
 	}
-	return filepath.Join(f.checkpointsDir, hash), nil
+	sort.Strings(keys)
+	return keys, err
 }
 
-// PutCheckpoint implements Store.
-func (f *FS) PutCheckpoint(hash, slot string, data []byte) error {
-	dir, err := f.checkpointDir(hash, slot)
-	if err != nil {
-		return err
-	}
-	if slot == "" {
-		return fmt.Errorf("store: empty checkpoint slot key")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return writeAtomic(filepath.Join(dir, slot), data)
-}
+func (f *FS) drop(sp space) error { return os.RemoveAll(f.path(sp)) }
 
-// GetCheckpoint implements Store.
-func (f *FS) GetCheckpoint(hash, slot string) ([]byte, error) {
-	dir, err := f.checkpointDir(hash, slot)
-	if err != nil {
-		return nil, err
-	}
-	if slot == "" {
-		return nil, fmt.Errorf("store: empty checkpoint slot key")
-	}
-	data, err := os.ReadFile(filepath.Join(dir, slot))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: checkpoint %s/%s: %w", hash, slot, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return data, nil
-}
-
-// Checkpoints implements Store.
-func (f *FS) Checkpoints(hash string) ([]string, error) {
-	dir, err := f.checkpointDir(hash, "")
-	if err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".") {
-			continue
-		}
-		out = append(out, name)
-	}
-	return out, nil
-}
-
-// DeleteCheckpoints implements Store.
-func (f *FS) DeleteCheckpoints(hash string) error {
-	dir, err := f.checkpointDir(hash, "")
-	if err != nil {
-		return err
-	}
-	if err := os.RemoveAll(dir); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// shardKeys validates the job (and, when non-empty, shard) keys used as
-// path components under the shard directories.
-func shardKeys(jobID, shardID string) error {
-	if err := validKey("shard job", jobID); err != nil {
-		return err
-	}
-	if shardID != "" {
-		return validKey("shard", shardID)
-	}
-	return nil
-}
-
-// PutShard implements Store.
-func (f *FS) PutShard(rec *ShardRecord) error {
-	if err := shardKeys(rec.JobID, rec.ID); err != nil {
-		return err
-	}
-	if rec.ID == "" {
-		return fmt.Errorf("store: empty shard key")
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding shard %s/%s: %w", rec.JobID, rec.ID, err)
-	}
-	dir := filepath.Join(f.shardsDir, rec.JobID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return writeAtomic(filepath.Join(dir, rec.ID+".json"), data)
-}
-
-// Shards implements Store. Like Jobs it skips records that no longer
-// decode, so one torn file cannot take down a coordinator's recovery.
-func (f *FS) Shards(jobID string) ([]*ShardRecord, error) {
-	if err := shardKeys(jobID, ""); err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(filepath.Join(f.shardsDir, jobID))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var out []*ShardRecord
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(f.shardsDir, jobID, name))
-		if err != nil {
-			continue
-		}
-		rec := new(ShardRecord)
-		if err := json.Unmarshal(data, rec); err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// PutShardResult implements Store.
-func (f *FS) PutShardResult(jobID, shardID string, data []byte) error {
-	if err := shardKeys(jobID, shardID); err != nil {
-		return err
-	}
-	if shardID == "" {
-		return fmt.Errorf("store: empty shard key")
-	}
-	dir := filepath.Join(f.shardResultsDir, jobID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return writeAtomic(filepath.Join(dir, shardID), data)
-}
-
-// GetShardResult implements Store.
-func (f *FS) GetShardResult(jobID, shardID string) ([]byte, error) {
-	if err := shardKeys(jobID, shardID); err != nil {
-		return nil, err
-	}
-	if shardID == "" {
-		return nil, fmt.Errorf("store: empty shard key")
-	}
-	data, err := os.ReadFile(filepath.Join(f.shardResultsDir, jobID, shardID))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: shard result %s/%s: %w", jobID, shardID, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return data, nil
-}
-
-// DeleteShards implements Store.
-func (f *FS) DeleteShards(jobID string) error {
-	if err := shardKeys(jobID, ""); err != nil {
-		return err
-	}
-	if err := os.RemoveAll(filepath.Join(f.shardsDir, jobID)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.RemoveAll(filepath.Join(f.shardResultsDir, jobID)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// writeAtomic publishes data at path via a same-directory temp file:
-// fsync the contents before the rename (so the new bytes are durable
-// before the name points at them) and fsync the directory after (so the
-// rename itself is durable).
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
+// writeAtomic publishes data as dir/name via a same-directory temp
+// file: fsync the contents before the rename (so the new bytes are
+// durable before the name points at them) and fsync the directory after
+// (so the rename itself is durable).
+func writeAtomic(dir, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
 	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmpName, filepath.Join(dir, name))
+	}
+	if err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
+	syncDir(dir)
+	return nil
+}
+
+// mkdir creates dir and any missing parents, fsyncing the parent of
+// every directory it creates: a new directory's entry is not durable
+// until its parent is synced.
+func mkdir(dir string) error {
+	err := os.Mkdir(dir, 0o755)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = mkdir(filepath.Dir(dir)); err == nil {
+			err = os.Mkdir(dir, 0o755)
+		}
 	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
+	if err == nil {
+		syncDir(filepath.Dir(dir))
+	} else if fi, serr := os.Stat(dir); serr == nil && fi.IsDir() {
+		err = nil // it already exists
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the entries in it durable.
+// Directory fsync is advisory on some filesystems; a failure cannot
+// un-publish what is already there, so it is not reported. Tests
+// substitute it to count syncs.
+var syncDir = func(dir string) {
 	if d, err := os.Open(dir); err == nil {
-		// Directory fsync is advisory on some filesystems; a failure
-		// here cannot un-publish the rename, so it is not fatal.
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -220,10 +221,10 @@ func TestFSReopenSurvives(t *testing.T) {
 }
 
 // openBothCorruptible is openBoth plus backdoors that corrupt a stored
-// job record or result blob in place — overwriting the filesystem file,
-// or the in-memory encoded bytes, with torn JSON — for the recovery
-// tests that must hold on both implementations.
-func openBothCorruptible(t *testing.T, f func(t *testing.T, s Store, corruptJob, corruptResult func(key string))) {
+// job record, result blob or shard record in place — overwriting the
+// filesystem file, or the in-memory encoded bytes, with torn JSON — for
+// the recovery tests that must hold on both implementations.
+func openBothCorruptible(t *testing.T, f func(t *testing.T, s Store, corruptJob, corruptResult func(key string), corruptShard func(jobID, shardID string))) {
 	t.Helper()
 	torn := []byte(`{"id":"job-1","state":"que`)
 	t.Run("fs", func(t *testing.T) {
@@ -239,13 +240,15 @@ func openBothCorruptible(t *testing.T, f func(t *testing.T, s Store, corruptJob,
 		}
 		f(t, s,
 			func(id string) { overwrite("jobs", id) },
-			func(hash string) { overwrite("results", hash) })
+			func(hash string) { overwrite("results", hash) },
+			func(jobID, shardID string) { overwrite(filepath.Join("shards", jobID), shardID) })
 	})
 	t.Run("mem", func(t *testing.T) {
 		s := NewMem()
 		f(t, s,
-			func(id string) { s.mu.Lock(); s.jobs[id] = torn; s.mu.Unlock() },
-			func(hash string) { s.mu.Lock(); s.results[hash] = torn; s.mu.Unlock() })
+			func(id string) { s.put(space{jobs, ""}, id, torn) },
+			func(hash string) { s.put(space{results, ""}, hash, torn) },
+			func(jobID, shardID string) { s.put(space{shards, jobID}, shardID, torn) })
 	})
 }
 
@@ -255,7 +258,7 @@ func openBothCorruptible(t *testing.T, f func(t *testing.T, s Store, corruptJob,
 // result blob likewise refuses rather than serving garbage. Neither
 // path may panic.
 func TestTornRecordsSkippedOrRefused(t *testing.T) {
-	openBothCorruptible(t, func(t *testing.T, s Store, corruptJob, corruptResult func(string)) {
+	openBothCorruptible(t, func(t *testing.T, s Store, corruptJob, corruptResult func(string), _ func(string, string)) {
 		for _, id := range []string{"job-1", "job-2", "job-3"} {
 			if err := s.PutJob(&JobRecord{ID: id, State: "queued"}); err != nil {
 				t.Fatal(err)
@@ -490,5 +493,219 @@ func TestFSIgnoresTempDebris(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].ID != "job-1" {
 		t.Fatalf("listing with debris: %+v", recs)
+	}
+}
+
+// A shard record torn the same way is skipped by Shards on both
+// backends, so one bad file cannot take down a coordinator's recovery.
+func TestTornShardSkipped(t *testing.T) {
+	openBothCorruptible(t, func(t *testing.T, s Store, _, _ func(string), corruptShard func(string, string)) {
+		for _, id := range []string{"v0-0-8", "v0-8-16", "v1-0-8"} {
+			if err := s.PutShard(&ShardRecord{ID: id, JobID: "job-1", State: "queued"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		corruptShard("job-1", "v0-8-16")
+		recs, err := s.Shards("job-1")
+		if err != nil {
+			t.Fatalf("listing with a torn shard: %v", err)
+		}
+		var ids []string
+		for _, r := range recs {
+			ids = append(ids, r.ID)
+		}
+		if !reflect.DeepEqual(ids, []string{"v0-0-8", "v1-0-8"}) {
+			t.Fatalf("listing with a torn shard returned %v, want the two intact ones", ids)
+		}
+	})
+}
+
+// Opaque blobs are values: neither the slice handed to a Put nor the one
+// a Get returned aliases what the store holds.
+func TestBlobsDoNotAlias(t *testing.T) {
+	openBoth(t, func(t *testing.T, s Store) {
+		blobs := []struct {
+			name string
+			put  func([]byte) error
+			get  func() ([]byte, error)
+		}{
+			{"checkpoint",
+				func(b []byte) error { return s.PutCheckpoint("h1", "0", b) },
+				func() ([]byte, error) { return s.GetCheckpoint("h1", "0") }},
+			{"shard result",
+				func(b []byte) error { return s.PutShardResult("job-1", "v0-0-8", b) },
+				func() ([]byte, error) { return s.GetShardResult("job-1", "v0-0-8") }},
+		}
+		for _, b := range blobs {
+			in := []byte{1, 2, 3}
+			if err := b.put(in); err != nil {
+				t.Fatal(err)
+			}
+			in[0] = 9
+			got, err := b.get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, []byte{1, 2, 3}) {
+				t.Fatalf("%s: mutating the put slice changed the stored blob: %v", b.name, got)
+			}
+			got[1] = 9
+			if again, _ := b.get(); !reflect.DeepEqual(again, []byte{1, 2, 3}) {
+				t.Fatalf("%s: mutating a returned blob changed the stored one: %v", b.name, again)
+			}
+		}
+	})
+}
+
+// The filesystem layout is a format: existing data directories must
+// keep recovering. One record of each family lands at exactly these
+// paths, and every JSON record holds exactly json.Marshal of the record.
+func TestFSLayout(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &JobRecord{ID: "job-1", Seq: 1, Hash: "h1", State: "done", Submitted: 5, Request: json.RawMessage(`{"until":5}`)}
+	res := &Result{Variants: []Variant{{Species: []string{"*"}, T: []float64{0, 0.5}, Mean: [][]float64{{1, 0.5}}, Std: [][]float64{{0, 0.1}}}}}
+	shard := &ShardRecord{ID: "v0-0-8", JobID: "job-1", Hi: 8, State: "done"}
+	for _, err := range []error{
+		s.PutJob(job),
+		s.PutResult("h1", res),
+		s.PutCheckpoint("h1", "3", []byte{1, 2, 3}),
+		s.PutShard(shard),
+		s.PutShardResult("job-1", "v0-0-8", []byte{4, 5}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	marshal := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := map[string][]byte{
+		"jobs/job-1.json":           marshal(job),
+		"results/h1.json":           marshal(res),
+		"checkpoints/h1/3":          {1, 2, 3},
+		"shards/job-1/v0-0-8.json":  marshal(shard),
+		"shardresults/job-1/v0-0-8": {4, 5},
+	}
+	got := map[string][]byte{}
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		got[filepath.ToSlash(rel)] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("layout:\n got %q\nwant %q", got, want)
+	}
+}
+
+// Creating a directory fsyncs its parent, so a new namespace's entry is
+// as durable as the first file written into it: one parent sync per new
+// directory, none when the directory already exists.
+func TestFSSyncsNewDirectories(t *testing.T) {
+	var synced []string
+	defer func(orig func(string)) { syncDir = orig }(syncDir)
+	syncDir = func(dir string) { synced = append(synced, dir) }
+	count := func(dir string) int {
+		n := 0
+		for _, d := range synced {
+			if d == dir {
+				n++
+			}
+		}
+		return n
+	}
+
+	root := filepath.Join(t.TempDir(), "data")
+	s, err := OpenFS(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := count(filepath.Dir(root)); n != 1 {
+		t.Fatalf("OpenFS synced the parent of a new data directory %d times, want 1", n)
+	}
+	shards := filepath.Join(root, "shards")
+	for i, id := range []string{"v0-0-8", "v0-8-16"} {
+		if err := s.PutShard(&ShardRecord{ID: id, JobID: "job-1", State: "queued"}); err != nil {
+			t.Fatal(err)
+		}
+		if n := count(root); n != 1 {
+			t.Fatalf("put %d: data directory synced %d times for the new shards/ entry, want 1", i, n)
+		}
+		if n := count(shards); n != 1 {
+			t.Fatalf("put %d: shards/ synced %d times for the new shards/job-1 entry, want 1", i, n)
+		}
+		if n := count(filepath.Join(shards, "job-1")); n != i+1 {
+			t.Fatalf("put %d: shards/job-1 synced %d times, want one per rename", i, n)
+		}
+	}
+	if err := s.PutShardResult("job-1", "v0-0-8", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(root); n != 2 {
+		t.Fatalf("data directory synced %d times after shardresults/ was created, want 2", n)
+	}
+	if n := count(filepath.Join(root, "shardresults")); n != 1 {
+		t.Fatalf("shardresults/ synced %d times for its new job directory, want 1", n)
+	}
+
+	// A reopened store finds the directories in place and syncs nothing.
+	synced = nil
+	if _, err := OpenFS(root); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 0 {
+		t.Fatalf("reopening synced %v, want nothing", synced)
+	}
+}
+
+// BenchmarkMemJob replays the store calls one small surfd job makes on
+// the in-memory store: a cache miss, its queued, running and done
+// records, the result, the checkpoint cleanup and a later cache hit.
+func BenchmarkMemJob(b *testing.B) {
+	s := NewMem()
+	res := &Result{Variants: []Variant{{
+		Species: []string{"*", "CO", "O"},
+		T:       []float64{0, 0.05, 0.1},
+		Mean:    [][]float64{{1, 0.5, 0.4}, {0, 0.25, 0.3}, {0, 0.25, 0.3}},
+		Std:     [][]float64{{0, 0.01, 0.02}, {0, 0.01, 0.02}, {0, 0.01, 0.02}},
+	}}}
+	rec := &JobRecord{ID: "job-1", Seq: 1, Hash: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		Submitted: 1, Request: json.RawMessage(`{"specs":[{"model":"zgb"}],"replicas":2,"until":0.1}`)}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		rec.ID = "job-" + strconv.Itoa(i)
+		s.GetResult(rec.Hash + "x")
+		for _, state := range []string{"queued", "running", "done"} {
+			rec.State = state
+			if err := s.PutJob(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.PutResult(rec.Hash, res); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.DeleteCheckpoints(rec.Hash); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.GetResult(rec.Hash); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
